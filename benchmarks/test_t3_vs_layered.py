@@ -6,19 +6,26 @@ A client touches k pages of a 50-page remote file.  LOCUS pages across just
 what is touched; the layered baseline stages the whole file through an
 ISO-style protocol stack first.  The shape to reproduce: LOCUS wins hugely
 for sparse access and stays ahead even when the entire file is read.
+
+The shape is asserted under the paper's one-page readahead
+(``readahead_max=1``).  The default adaptive readahead makes the 50-page
+sequential read several times faster, so the advantage there grows again
+instead of shrinking; those rows are printed beside the paper's.
 """
 
 import pytest
 
 from repro import LocusCluster
 from repro.baselines.layered import LayeredTransferService
+from repro.config import CostModel
 from _harness import print_table, run_experiment
 
 FILE_PAGES = 50
+PAPER_COST = CostModel().with_overrides(readahead_max=1)
 
 
-def _experiment():
-    cluster = LocusCluster(n_sites=2, seed=5)
+def _rows(cost):
+    cluster = LocusCluster(n_sites=2, seed=5, cost=cost)
     service = LayeredTransferService(cluster)
     psz = cluster.config.cost.page_size
     sh1 = cluster.shell(1)
@@ -45,18 +52,24 @@ def _experiment():
         layered_time = cluster.sim.now - t1
         rows.append([touched, locus_time, layered_time,
                      layered_time / locus_time])
-    return {"rows": rows}
+    return rows
+
+
+def _experiment():
+    return {"rows": _rows(PAPER_COST), "default_rows": _rows(None)}
 
 
 @pytest.mark.benchmark(group="T3")
 def test_t3_locus_vs_layered_transfer(benchmark):
     out = run_experiment(benchmark, _experiment)
+    headers = ["pages touched", "LOCUS vtime", "layered vtime",
+               "layered/LOCUS"]
     print_table(
         f"T3: remote access, LOCUS paging vs layered whole-file transfer "
-        f"({FILE_PAGES}-page file)",
-        ["pages touched", "LOCUS vtime", "layered vtime",
-         "layered/LOCUS"],
-        out["rows"])
+        f"({FILE_PAGES}-page file, one-page readahead)",
+        headers, out["rows"])
+    print_table("T3 (default adaptive readahead, not asserted)",
+                headers, out["default_rows"])
     ratios = {row[0]: row[3] for row in out["rows"]}
     # Sparse access: dramatic advantage.
     assert ratios[1] > 10.0, ratios

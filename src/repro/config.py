@@ -93,38 +93,31 @@ class CostModel:
     pathname_shipping: bool = False
     msg_header_bytes: int = 64      # wire overhead per message
 
-    # Remote-operation supervision (ISSUE 3).  With the flag on, idempotent
-    # remote calls get a per-op timeout plus bounded deterministic
-    # exponential backoff, and the US read path fails over to another pack
-    # copy when its SS dies mid-call (paper sections 2.3.2 and 5.6: "the
-    # system will substitute a different copy").  Off reproduces the paper's
-    # unsupervised calls: any mid-call failure surfaces to the caller.
-    # Fault-free runs are identical either way — no retry ever fires and
-    # timeout events are cancelled without advancing the clock.
+    # Remote-operation supervision.  Off reproduces the paper's
+    # unsupervised protocol: any mid-call failure surfaces to the caller,
+    # and a write open whose storage site is lost gets the paper's failure
+    # action (section 5.6: "discard pages, set error in local file
+    # descriptor").  On, remote calls get a per-op timeout plus bounded
+    # deterministic exponential backoff, the US read path fails over to
+    # another pack copy when its SS dies mid-call (sections 2.3.2 and 5.6:
+    # "the system will substitute a different copy"), and mutating calls
+    # are exactly-once: every mutating RPC (commit, create, css_open/close)
+    # carries a ``(client_id, op_seq)`` stamp and the CSS and SS keep a
+    # bounded per-client idempotency ledger, so a retried or failed-over
+    # request whose first attempt already applied replays the recorded
+    # reply instead of re-executing.  That makes the write path safe to
+    # retry, lets open-for-write re-home to a surviving replica mid-storm
+    # (staged shadow pages are re-staged at the new SS), and retires the
+    # merge conflict window: the CSS refuses writer opens with
+    # EWOULDCONFLICT while a file is queued for reconciliation.  Stamps
+    # ride the header slots excluded from the wire-size model.  Fault-free
+    # runs are identical either way — no retry, replay or refusal ever
+    # fires and timeout events are cancelled without advancing the clock.
     supervise_remote_ops: bool = True
-    rpc_timeout: float = 400.0      # per-op backstop for idempotent RPCs
+    rpc_timeout: float = 400.0      # per-op backstop for remote calls
     rpc_retries: int = 3            # bounded retry / failover attempts
     rpc_backoff: float = 8.0        # base of the exponential retry backoff
-    # Exactly-once mutating syscalls (ISSUE 8).  With the flag on, every
-    # mutating RPC (commit, create, css_open/close) carries a
-    # ``(client_id, op_seq)`` stamp and the CSS and SS keep a bounded
-    # per-client idempotency ledger: a retried or failed-over request whose
-    # first attempt already applied replays the recorded reply instead of
-    # re-executing.  That makes the non-idempotent write path safe to retry
-    # under supervision, lets open-for-write re-home to a surviving replica
-    # mid-storm (staged shadow pages are re-staged at the new SS), and
-    # retires the merge conflict window: the CSS refuses writer opens with
-    # EWOULDCONFLICT while a file is queued for reconciliation.  Stamps
-    # ride the header slots excluded from the wire-size model, and on
-    # fault-free runs no retry, replay, or refusal ever fires, so flag-off
-    # post-state is byte-identical.
-    exactly_once_writes: bool = True
     ledger_window: int = 16         # memoized replies retained per client
-    # Adaptive flush sizing for batch_writes: staged dirty pages also flush
-    # when they have been sitting for this much virtual time, so a slow
-    # writer's pages are not hostage to the next ordering point (0 = only
-    # full batches and ordering points flush).
-    write_flush_deadline: float = 0.0
 
     # Flight recorder (ISSUE 5).  With the flag on, every syscall, RPC and
     # message handler records a causal span and a virtual-time latency

@@ -217,26 +217,38 @@ class Site:
             if span is not None:
                 tracer.finish(span, prev, status=status_label)
 
+    def backstop_rpc(self, dst: int, op: str,
+                     payload: Optional[dict] = None) -> Generator:
+        """Unretried call with the supervised per-op timeout backstop.
+
+        The caller owns retry and fallback: a timeout is a
+        :class:`NetworkError` like any other communication failure, so
+        the existing skip/retry handling covers it.  With
+        ``cost.supervise_remote_ops`` off this is plain :meth:`rpc` — the
+        paper's unsupervised call, which waits on the circuit alone."""
+        cost = self.cost
+        timeout = (cost.rpc_timeout or None) if cost.supervise_remote_ops \
+            else None
+        result = yield from self.rpc(dst, op, payload, timeout=timeout)
+        return result
+
     def supervised_rpc(self, dst, op: str, payload: Optional[dict] = None,
-                       idempotent: bool = True,
-                       timeout: Optional[float] = None,
-                       retries: Optional[int] = None,
-                       backoff: Optional[float] = None,
                        once: bool = False) -> Generator:
         """Supervised remote call: a per-op timeout plus bounded
-        deterministic exponential backoff for idempotent operations.
+        deterministic exponential backoff.
 
         ``dst`` may be a callable re-evaluated before every attempt so a
         retry chases responsibility that moved during the failure (e.g. a
-        CSS re-elected while this call was failing).  Non-idempotent calls
-        get the timeout backstop but never blind-retry — unless ``once``
-        marks them for exactly-once delivery, in which case the payload is
-        stamped with ``(client_id, op_seq)`` and retried like an idempotent
-        call: the server's idempotency ledger turns the duplicate into a
-        replay of the recorded reply, so at-least-once delivery plus
-        server-side dedup yields exactly-once execution.  A caller that
-        pre-stamped the payload (write-path failover re-homing a commit)
-        keeps its own stamp and its own completion bookkeeping.
+        CSS re-elected while this call was failing).  Every call is
+        retried, so the operation must be safe to deliver twice: either
+        idempotent (reads, absolute patches), or marked ``once`` for
+        exactly-once delivery, in which case the payload is stamped with
+        ``(client_id, op_seq)`` and the server's idempotency ledger turns
+        a duplicate into a replay of the recorded reply — at-least-once
+        delivery plus server-side dedup yields exactly-once execution.  A
+        caller that pre-stamped the payload (a background close
+        notification reusing its first attempt's stamp) keeps its own
+        stamp and its own completion bookkeeping.
 
         ``EWOULDCONFLICT`` — the CSS refusing a writer open while the file
         is queued for reconciliation — is always retryable (the refusal
@@ -249,8 +261,7 @@ class Site:
         resolve = dst if callable(dst) else (lambda: dst)
         cost = self.cost
         payload = payload if payload is not None else {}
-        own_stamp = (once and cost.exactly_once_writes
-                     and cost.supervise_remote_ops
+        own_stamp = (once and cost.supervise_remote_ops
                      and "_stamp" not in payload)
         if own_stamp:
             payload["_stamp"] = self.next_stamp()
@@ -258,13 +269,9 @@ class Site:
             if not cost.supervise_remote_ops:
                 result = yield from self.rpc(resolve(), op, payload)
                 return result
-            if timeout is None:
-                timeout = cost.rpc_timeout or None
-            if retries is None:
-                retries = cost.rpc_retries
-            if backoff is None:
-                backoff = cost.rpc_backoff
-            can_retry = idempotent or "_stamp" in payload
+            timeout = cost.rpc_timeout or None
+            retries = cost.rpc_retries
+            backoff = cost.rpc_backoff
             tracer = self.tracer
             span = prev = None
             if tracer is not None and tracer.enabled:
@@ -281,7 +288,7 @@ class Site:
                                                      timeout=timeout)
                         return result
                     except NetworkError as exc:
-                        if not can_retry or attempt >= retries or not self.up:
+                        if attempt >= retries or not self.up:
                             raise
                         self.metrics.count("rpc.retries")
                         if span is not None:

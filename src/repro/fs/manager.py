@@ -223,7 +223,7 @@ class FsManager(PathMixin, NamespaceMixin):
         re-running a failed one is safe).  Unstamped requests, and sites
         without a ledger for the filegroup, run the body directly.
         """
-        stamp = p.get("_stamp") if self.cost.exactly_once_writes else None
+        stamp = p.get("_stamp")
         if stamp is None or ledger is None:
             result = yield from run()
             return result
@@ -391,7 +391,6 @@ class FsManager(PathMixin, NamespaceMixin):
         recovery = self.site.recovery
         if recovery is not None and recovery.needs(gfile):
             if (mode.writable and not reclaiming
-                    and self.cost.exactly_once_writes
                     and self.cost.supervise_remote_ops):
                 # Conflict-window retirement: no write token while copies
                 # await reconciliation — a writer admitted here could race
@@ -410,7 +409,6 @@ class FsManager(PathMixin, NamespaceMixin):
             self._note_version(gfile, known)
             entry.latest_vv = entry.latest_vv.merge(known)
         if mode.writable and self.topology_epoch \
-                and self.cost.exactly_once_writes \
                 and self.cost.supervise_remote_ops \
                 and self._vv_probe_epoch.get(gfile) != \
                 self.topology_epoch:
@@ -536,13 +534,12 @@ class FsManager(PathMixin, NamespaceMixin):
         into ``entry.latest_vv`` (best effort: an unreachable peer is
         skipped — its commits resurface through reconciliation)."""
         gfile = entry.gfile
-        timeout = self.cost.rpc_timeout or None
         for s in entry.storage_sites:
             if s == self.sid:
                 continue
             try:
-                attrs = yield from self.site.rpc(
-                    s, "fs.fetch_attrs", {"gfile": gfile}, timeout=timeout)
+                attrs = yield from self.site.backstop_rpc(
+                    s, "fs.fetch_attrs", {"gfile": gfile})
             except (FsError, NetworkError):
                 continue
             # Adopt only strictly-newer knowledge.  Merging an
@@ -821,23 +818,19 @@ class FsManager(PathMixin, NamespaceMixin):
         When the SS crashes or the circuit closes mid-call (also: the SS
         restarted and lost its open state, or refuses as stale), fail over
         to the next available pack copy and retry — bounded by
-        ``cost.rpc_retries`` with deterministic exponential backoff.  Only
-        the read path retries; commit/write paths abort the shadow instead
-        (a blind retry could double-apply).  With supervision off this is a
-        plain unsupervised call, the paper's behaviour.
+        ``cost.rpc_retries`` with deterministic exponential backoff.  A
+        writable handle uses it too, for the SS operations that are safe to
+        deliver twice (truncate, absolute attribute patches): its failover
+        re-homes the write token and re-stages the open's uncommitted
+        operations at the new SS (``_failover_write``).  With supervision
+        off this is a plain unsupervised call, the paper's behaviour.
         """
         cost = self.cost
-        # Writable handles join the supervised path only under exactly-once
-        # writes: their failover must re-home the write token and re-stage
-        # the shadow pages, which plain copy substitution cannot do.
-        supervised = cost.supervise_remote_ops and (
-            not handle.mode.writable or cost.exactly_once_writes)
-        timeout = (cost.rpc_timeout or None) if supervised else None
         attempt = 0
         while True:
             try:
-                result = yield from self.site.rpc(handle.ss_site, op,
-                                                  payload, timeout=timeout)
+                result = yield from self.site.backstop_rpc(handle.ss_site,
+                                                           op, payload)
                 return result
             except (NetworkError, EBADF, ESTALE) as exc:
                 writable = handle.mode.writable
@@ -846,7 +839,8 @@ class FsManager(PathMixin, NamespaceMixin):
                 # whole loss burst rather than fail the syscall.
                 budget = max(2 * cost.rpc_retries, 8) if writable \
                     else max(1, cost.rpc_retries)
-                if not supervised or handle.closed or attempt >= budget:
+                if (not cost.supervise_remote_ops or handle.closed
+                        or attempt >= budget):
                     raise
                 attempt += 1
                 failed_ss = handle.ss_site
@@ -1227,10 +1221,9 @@ class FsManager(PathMixin, NamespaceMixin):
             yield from self._ss_apply_write(so, page, data, new_size,
                                             writer=self.sid)
             return
-        if self.cost.exactly_once_writes:
-            # Retain the image beyond the flush: write failover re-stages
-            # it at the surviving replica.
-            handle.staged_pages[page] = data
+        # Retain the image beyond the flush: write failover re-stages it
+        # at the surviving replica.
+        handle.staged_pages[page] = data
         self.site.cache.put(self._page_key(gfile, page), data)
         if self.cost.batch_writes:
             # Write-behind: stage the page and ship a full batch at once.
@@ -1242,14 +1235,6 @@ class FsManager(PathMixin, NamespaceMixin):
             handle.pending_size = max(handle.pending_size, new_size)
             if len(handle.pending_writes) >= max(1, self.cost.batch_pages):
                 yield from self._flush_writes(handle)
-            elif (self.cost.write_flush_deadline > 0
-                    and handle.flush_timer is None):
-                # Adaptive flush sizing: a partial batch also ships after a
-                # vtime deadline, so a slow writer's staged pages are not
-                # hostage to the next ordering point.
-                handle.flush_timer = self.site.sim.schedule(
-                    self.cost.write_flush_deadline,
-                    self._deadline_flush, handle)
             return
         # The write protocol is a single one-way message (section 2.3.5).
         yield from self.site.oneway(handle.ss_site, "fs.write_page", {
@@ -1266,12 +1251,10 @@ class FsManager(PathMixin, NamespaceMixin):
         of one page keeps the paper-exact ``fs.write_page`` message.  The
         shipped count accumulates in ``handle.pages_sent``; the batched
         commit carries it so a lost chunk can never half-commit."""
-        if handle.flush_timer is not None:
-            handle.flush_timer.cancel()
-            handle.flush_timer = None
         while handle.flush_done is not None and not handle.flush_done.done:
-            # A deadline flush is still on the wire: ordering points must
-            # queue behind it so a commit never overtakes staged pages.
+            # Another flush of this handle is still on the wire: ordering
+            # points queue behind it so a commit never overtakes staged
+            # pages.
             yield handle.flush_done
         pending = handle.pending_writes
         if not pending:
@@ -1311,16 +1294,6 @@ class FsManager(PathMixin, NamespaceMixin):
                 handle.flush_done = None
             flush_done.resolve(None)
         return None
-
-    def _deadline_flush(self, handle: UsHandle) -> None:
-        """Timer callback for the write_flush_deadline: ship the partial
-        batch unless an ordering point got there first."""
-        handle.flush_timer = None
-        if (handle.closed or not handle.pending_writes or not self.site.up
-                or self.us.get(handle.hid) is not handle):
-            return
-        self.site.spawn(self._flush_writes(handle),
-                        name=f"flush-deadline:{handle.gfile}")
 
     def h_write_page(self, src: int, p: dict) -> Generator:
         so = self.ss.get(p["gfile"])
@@ -1418,29 +1391,20 @@ class FsManager(PathMixin, NamespaceMixin):
             # post-state the per-page protocol reaches.
             handle.pending_writes.clear()
             handle.pending_size = 0
-        if handle.flush_timer is not None:
-            handle.flush_timer.cancel()
-            handle.flush_timer = None
-        if self.cost.exactly_once_writes:
-            # Earlier page images are dropped by the truncate; a failover
-            # replay starts from the truncate instead.
-            handle.staged_pages.clear()
-            handle.staged_truncate = True
+        # Earlier page images are dropped by the truncate; a failover
+        # replay starts from the truncate instead.
+        handle.staged_pages.clear()
+        handle.staged_truncate = True
         if handle.ss_site == self.sid:
             so = self.ss[handle.gfile]
             yield from self._ss_truncate(so)
-        elif self.cost.exactly_once_writes and self.cost.supervise_remote_ops:
+        else:
             # Failover-aware: an SS that dropped our open state after an
             # asymmetric partition answers EBADF — re-home the handle (the
             # staged truncate replays there) and retry.  Truncating twice
             # is truncating once, so duplicate delivery is safe too.
             yield from self._read_rpc(handle, "fs.truncate",
                                       {"gfile": handle.gfile})
-        else:
-            # Idempotent against duplicate delivery (truncating twice is
-            # truncating once), so a supervised retry is safe.
-            yield from self.site.supervised_rpc(
-                handle.ss_site, "fs.truncate", {"gfile": handle.gfile})
         self.site.cache.invalidate_file(*handle.gfile)
         handle.size = 0
         handle.dirty = True
@@ -1471,25 +1435,19 @@ class FsManager(PathMixin, NamespaceMixin):
         """Stage inode-only changes (ownership, permissions...)."""
         if not handle.mode.writable:
             raise EBADF("attribute change needs a write open")
-        if self.cost.exactly_once_writes:
-            handle.staged_attrs.update(patch)
+        handle.staged_attrs.update(patch)
         if handle.ss_site == self.sid:
             self.ss[handle.gfile].shadow.set_attrs(**patch)
         else:
             # Keep the SS-side operation order of the per-page protocol:
             # staged pages precede the attribute change on the wire.
             yield from self._flush_writes(handle)
-            # Absolute patches are idempotent against duplicate delivery.
-            if self.cost.exactly_once_writes and self.cost.supervise_remote_ops:
-                # Failover-aware like truncate: EBADF from an SS that lost
-                # our open re-homes the handle and replays staged state.
-                yield from self._read_rpc(handle, "fs.set_attrs",
-                                          {"gfile": handle.gfile,
-                                           "patch": patch})
-            else:
-                yield from self.site.supervised_rpc(
-                    handle.ss_site, "fs.set_attrs",
-                    {"gfile": handle.gfile, "patch": patch})
+            # Failover-aware like truncate: EBADF from an SS that lost our
+            # open re-homes the handle and replays staged state.  Absolute
+            # patches are idempotent against duplicate delivery.
+            yield from self._read_rpc(handle, "fs.set_attrs",
+                                      {"gfile": handle.gfile,
+                                       "patch": patch})
         handle.attrs.update(patch)
         handle.dirty = True
         return None
@@ -1543,8 +1501,8 @@ class FsManager(PathMixin, NamespaceMixin):
     def _commit_remote(self, handle: UsHandle) -> Generator:
         """Commit at a remote SS, exactly once.
 
-        Without exactly-once writes this is the paper's single unsupervised
-        ``fs.commit``.  With it, the request is stamped and retried under a
+        With supervision off this is the paper's single unsupervised
+        ``fs.commit``.  With it on, the request is stamped and retried under a
         timeout: a retry reaching the same SS replays the memoized result
         from its durable ledger (the first attempt's reply was lost, not
         its effect), and when the SS itself is gone the handle re-homes to
@@ -1563,14 +1521,14 @@ class FsManager(PathMixin, NamespaceMixin):
             # circuit fails the commit instead of half-applying.
             yield from self._flush_writes(handle)
             payload["expected_pages"] = handle.pages_sent
-        elif cost.exactly_once_writes:
+        else:
             # The per-page protocol's writes are one-way with no delivery
             # guarantee either; the same commit guard applies.  The count
             # rides the header (underscore key, excluded from the wire-size
             # model) so fault-free message timing matches the paper's
             # protocol exactly.
             payload["_expected"] = handle.pages_sent
-        if not (cost.exactly_once_writes and cost.supervise_remote_ops):
+        if not cost.supervise_remote_ops:
             vv = yield from self.site.rpc(handle.ss_site, "fs.commit",
                                           payload)
             return vv
@@ -1583,9 +1541,8 @@ class FsManager(PathMixin, NamespaceMixin):
                 payload["_ack"] = self.site.stamp_ack()
                 target = handle.ss_site
                 try:
-                    vv = yield from self.site.rpc(
-                        target, "fs.commit", payload,
-                        timeout=cost.rpc_timeout or None)
+                    vv = yield from self.site.backstop_rpc(
+                        target, "fs.commit", payload)
                     return vv
                 except EWRITELOST:
                     # The SS received fewer page writes than we shipped
@@ -1654,9 +1611,6 @@ class FsManager(PathMixin, NamespaceMixin):
         handle.staged_pages.clear()
         handle.staged_truncate = False
         handle.staged_attrs.clear()
-        if handle.flush_timer is not None:
-            handle.flush_timer.cancel()
-            handle.flush_timer = None
         if handle.ss_site == self.sid:
             yield from self._ss_abort(handle.gfile)
         else:
@@ -1696,7 +1650,7 @@ class FsManager(PathMixin, NamespaceMixin):
                 raise EWRITELOST(
                     f"commit of {p['gfile']} expected {expected} staged "
                     f"page writes, storage site received {received}")
-        stamp = p.get("_stamp") if self.cost.exactly_once_writes else None
+        stamp = p.get("_stamp")
         vv = yield from self._ss_commit(p["gfile"], stamp=stamp,
                                         vv_floor=p.get("vv_floor"))
         return vv
@@ -2013,7 +1967,7 @@ class FsManager(PathMixin, NamespaceMixin):
         if handle.ss_site == self.sid:
             yield from self._ss_close_local(gfile, handle.mode, self.sid)
         elif handle.sync:
-            if self.cost.exactly_once_writes and self.cost.supervise_remote_ops:
+            if self.cost.supervise_remote_ops:
                 # Stamped: fs.close decrements open counts, so a duplicate
                 # delivery must replay, not double-close.  If the SS is
                 # gone for good, release the CSS registration directly —
@@ -2023,8 +1977,7 @@ class FsManager(PathMixin, NamespaceMixin):
                 try:
                     yield from self.site.supervised_rpc(
                         handle.ss_site, "fs.close",
-                        {"gfile": gfile, "mode": handle.mode},
-                        idempotent=False, once=True)
+                        {"gfile": gfile, "mode": handle.mode}, once=True)
                 except NetworkError:
                     self.site.metrics.count("fs.close_rescues")
                     css = self.mount.css_for(gfile[0])
@@ -2041,8 +1994,7 @@ class FsManager(PathMixin, NamespaceMixin):
                         try:
                             yield from self.site.supervised_rpc(
                                 lambda: self.mount.css_for(gfile[0]),
-                                "fs.css_ss_close", payload,
-                                idempotent=False, once=True)
+                                "fs.css_ss_close", payload, once=True)
                         except (NetworkError, FsError):
                             yield from self.site.oneway_quiet(
                                 css, "fs.css_ss_close", payload)
@@ -2084,17 +2036,15 @@ class FsManager(PathMixin, NamespaceMixin):
             payload = {"gfile": gfile, "us": us, "mode": mode}
             if css == self.sid:
                 yield from self.h_css_ss_close(self.sid, payload)
-            elif self.cost.exactly_once_writes \
-                    and self.cost.supervise_remote_ops:
+            elif self.cost.supervise_remote_ops:
                 # Stamped so a duplicate delivery replays instead of
                 # double-decrementing open counts; the fault-free path
                 # stays the paper's synchronous one-pair notification.
                 payload["_stamp"] = self.site.next_stamp()
                 payload["_ack"] = self.site.stamp_ack()
                 try:
-                    yield from self.site.rpc(
-                        css, "fs.css_ss_close", payload,
-                        timeout=self.cost.rpc_timeout or None)
+                    yield from self.site.backstop_rpc(
+                        css, "fs.css_ss_close", payload)
                     self.site.stamp_done(payload["_stamp"][1])
                 except NetworkError:
                     # The release must land or the writer token leaks
@@ -2119,7 +2069,7 @@ class FsManager(PathMixin, NamespaceMixin):
         try:
             yield from self.site.supervised_rpc(
                 lambda: self.mount.css_for(gfile[0]),
-                "fs.css_ss_close", payload, idempotent=False, once=True)
+                "fs.css_ss_close", payload, once=True)
         except (NetworkError, FsError):
             pass  # reconfiguration will rebuild the CSS state
         finally:
@@ -2184,10 +2134,8 @@ class FsManager(PathMixin, NamespaceMixin):
                             for h in self.us.values())
             else:
                 try:
-                    reply = yield from self.site.rpc(
-                        us, "fs.validate_open", {"gfile": gfile},
-                        timeout=(self.cost.rpc_timeout or None)
-                        if self.cost.supervise_remote_ops else None)
+                    reply = yield from self.site.backstop_rpc(
+                        us, "fs.validate_open", {"gfile": gfile})
                     alive = bool(reply["open"])
                 except (NetworkError, FsError):
                     continue   # unreachable: membership cleanup owns that
@@ -2223,7 +2171,7 @@ class FsManager(PathMixin, NamespaceMixin):
         inode.mtime = self.site.sim.now
         gfile = (p["gfs"], inode.ino)
         attrs = inode.attrs()
-        stamp = p.get("_stamp") if self.cost.exactly_once_writes else None
+        stamp = p.get("_stamp")
         if stamp is not None:
             # Recorded in the same atomic step as the allocation: a retry
             # arriving after a crash replays these attrs instead of

@@ -160,7 +160,7 @@ class NamespaceMixin:
                 "owner": owner,
                 "perms": perms,
                 "storage_sites": chosen,
-            }, idempotent=False, once=True)
+            }, once=True)
         gfile: Gfile = (parent[0], attrs["ino"])
         try:
             yield from self._dir_modify(

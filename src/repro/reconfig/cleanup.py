@@ -63,8 +63,7 @@ def _cleanup_fs(site, lost: Set[int], members: Set[int]) -> Generator:
             continue
         site.cache.invalidate_file(*handle.gfile)
         if handle.mode.writable:
-            cost = fs.cost
-            if cost.exactly_once_writes and cost.supervise_remote_ops:
+            if fs.cost.supervise_remote_ops:
                 # Write-path failover: the open's uncommitted operations
                 # are still staged on the handle, so instead of erroring
                 # the descriptor we re-home it to a surviving replica and

@@ -163,17 +163,6 @@ class RecoveryManager:
     # The filegroup sweep
     # ------------------------------------------------------------------
 
-
-    def _rpc(self, dst: int, op: str, payload: dict) -> Generator:
-        """Read-only recovery RPC with the supervised per-op timeout
-        backstop; timeouts are NetworkErrors, so the existing skip/retry
-        handling covers them.  Installs stay on the plain call."""
-        cost = self.site.cost
-        timeout = (cost.rpc_timeout or None) if cost.supervise_remote_ops \
-            else None
-        result = yield from self.site.rpc(dst, op, payload, timeout=timeout)
-        return result
-
     def reconcile_filegroup(self, gfs: int) -> Generator:
         members = self.site.topology.partition_set if self.site.topology \
             else set(self.site.net.site_ids)
@@ -182,8 +171,8 @@ class RecoveryManager:
         inventories: Dict[int, dict] = {}
         for s in pack_sites:
             try:
-                inv = yield from self._rpc(s, "fs.pack_inventory",
-                                               {"gfs": gfs})
+                inv = yield from self.site.backstop_rpc(
+                    s, "fs.pack_inventory", {"gfs": gfs})
             except (NetworkError, FsError):
                 continue
             inventories[s] = inv
@@ -236,7 +225,7 @@ class RecoveryManager:
             if s not in members:
                 continue
             try:
-                inventories[s] = yield from self._rpc(
+                inventories[s] = yield from self.site.backstop_rpc(
                     s, "fs.pack_inventory", {"gfs": gfs})
             except (NetworkError, FsError):
                 continue
@@ -453,7 +442,7 @@ class RecoveryManager:
             if s not in members:
                 continue
             try:
-                inventories[s] = yield from self._rpc(
+                inventories[s] = yield from self.site.backstop_rpc(
                     s, "fs.pack_inventory", {"gfs": gfs})
             except (NetworkError, FsError):
                 continue
@@ -516,9 +505,8 @@ class RecoveryManager:
         n_pages = (attrs["size"] + psz - 1) // psz
         chunks = []
         for page in range(n_pages):
-            data = yield from self._rpc(source, "fs.pull_read", {
-                "gfile": gfile, "page": page,
-            })
+            data = yield from self.site.backstop_rpc(
+                source, "fs.pull_read", {"gfile": gfile, "page": page})
             chunks.append(data.ljust(psz, b"\x00"))
         return b"".join(chunks)[:attrs["size"]]
 
@@ -545,7 +533,7 @@ class RecoveryManager:
                     # inode and read again.
                     yield 5.0 * (attempt + 1)
                     try:
-                        attrs = yield from self._rpc(
+                        attrs = yield from self.site.backstop_rpc(
                             s, "fs.fetch_attrs", {"gfile": gfile})
                     except (NetworkError, FsError):
                         pass
@@ -699,8 +687,8 @@ class RecoveryManager:
         inv = {}
         for s in self.site.fs.mount.pack_sites(gfile[0]):
             try:
-                inv[s] = yield from self._rpc(s, "fs.pack_inventory",
-                                                  {"gfs": gfile[0]})
+                inv[s] = yield from self.site.backstop_rpc(
+                    s, "fs.pack_inventory", {"gfs": gfile[0]})
             except (NetworkError, FsError):
                 continue
         holders = [(s, e[gfile[1]]["attrs"]) for s, e in inv.items()
@@ -721,8 +709,8 @@ class RecoveryManager:
         inv = {}
         for s in fs.mount.pack_sites(gfile[0]):
             try:
-                inv[s] = yield from self._rpc(s, "fs.pack_inventory",
-                                                  {"gfs": gfile[0]})
+                inv[s] = yield from self.site.backstop_rpc(
+                    s, "fs.pack_inventory", {"gfs": gfile[0]})
             except (NetworkError, FsError):
                 continue
         seen_versions = {}

@@ -30,10 +30,11 @@ FLAG_COMBOS = [
     {"pull_manifest": True, "pull_pipeline": 4},
     {"batch_writes": True, "pull_manifest": True,
      "batch_pages": 4, "pull_pipeline": 4},
-    # Exactly-once writes is ON in the default combo above; this leg
-    # proves the whole stamping/ledger machinery is invisible on
-    # fault-free runs — byte-identical post-state with it disabled.
-    {"exactly_once_writes": False},
+    # Supervision (retries, failover, exactly-once stamps and ledgers) is
+    # ON in the default combo above; this leg proves the whole machinery
+    # is invisible on fault-free runs — byte-identical post-state under
+    # the paper's unsupervised protocol.
+    {"supervise_remote_ops": False},
     # Same discipline for the anti-entropy scrub (on by default): its
     # sweeps only trigger from the merge procedure and a clean sweep
     # repairs nothing, so disabling it must change no committed byte —
@@ -42,7 +43,7 @@ FLAG_COMBOS = [
 ]
 
 COMBO_IDS = ["off", "batch_writes", "pull_manifest", "both",
-             "no_exactly_once", "no_scrub"]
+             "no_supervision", "no_scrub"]
 
 
 def poststate(cluster):
@@ -383,10 +384,11 @@ class TestMidBatchCircuitClose:
         assert cluster.site(1).metrics.counters["fs.commit_retries"] >= 1
 
     def test_commit_fails_without_replay(self):
-        """Flag-off leg: without the exactly-once machinery the same lost
-        chunk surfaces as a failed commit with the old content intact."""
+        """Flag-off leg: under the paper's unsupervised protocol the same
+        lost chunk surfaces as a failed commit with the old content
+        intact."""
         cluster, old, __, failed = self._run_lost_flush(
-            "fs.write_pages", exactly_once_writes=False)
+            "fs.write_pages", supervise_remote_ops=False)
         assert failed, "commit must fail when a flush chunk was lost"
         assert cluster.shell(0).read_file("/victim") == old
 

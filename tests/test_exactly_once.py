@@ -295,9 +295,9 @@ class TestWriteFailover:
         assert cluster.shell(0).read_file("/w") == b"seed" * 64
 
     def test_flag_off_write_still_dies_with_its_ss(self):
-        """With the feature off, the paper's failure action stands: the
+        """With supervision off, the paper's failure action stands: the
         descriptor errors out and the partial write is discarded."""
-        cost = CostModel().with_overrides(exactly_once_writes=False)
+        cost = CostModel().with_overrides(supervise_remote_ops=False)
         cluster = LocusCluster(n_sites=3, seed=35, root_pack_sites=[1, 2],
                                cost=cost)
         sh0 = cluster.shell(0)

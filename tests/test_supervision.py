@@ -1,12 +1,12 @@
 """Supervised remote operations: timeouts, bounded retry, replica failover.
 
 The supervision layer (``cost.supervise_remote_ops``, default on) gives
-idempotent remote calls a per-op timeout backstop and deterministic
-exponential backoff, and lets the US read path substitute another pack
-copy mid-call when its storage site dies (section 5.2 principle 3).
-Write/commit paths never blind-retry — they abort the shadow, exactly as
-before.  With the flag off every path degenerates to the paper's
-unsupervised calls.
+remote calls a per-op timeout backstop and deterministic exponential
+backoff, and lets the US read path substitute another pack copy mid-call
+when its storage site dies (section 5.2 principle 3).  Mutating calls are
+stamped for exactly-once delivery and write opens re-home instead of
+failing (tests/test_exactly_once.py).  With the flag off every path
+degenerates to the paper's unsupervised calls.
 """
 
 import pytest
@@ -51,16 +51,6 @@ class TestSupervisedRpc:
             0, cluster.sites[0].supervised_rpc(1, "t.slow"))
         assert result == "pong"
         assert len(calls) == 2
-
-    def test_non_idempotent_calls_never_blind_retry(self):
-        cluster = LocusCluster(n_sites=2, seed=73)
-        calls = []
-        cluster.sites[1].register_handler("t.once", _handler(calls))
-        cluster.inject(FaultPlan(seed=73).drop("t.once", count=1))
-        with pytest.raises(NetworkError):
-            cluster.call(0, cluster.sites[0].supervised_rpc(
-                1, "t.once", idempotent=False))
-        assert calls == []              # the one request was lost; no retry
 
     def test_flag_off_is_the_papers_unsupervised_call(self):
         cost = CostModel().with_overrides(supervise_remote_ops=False)
@@ -149,12 +139,12 @@ class TestReadFailover:
                 if k == "dropped"] == ["fs.css_open"]
 
     def test_write_handle_never_blind_retries(self):
-        """An SS crash under an open-for-write marks the descriptor in
-        error and aborts the shadow (the paper's failure-action table);
-        supervision alone must not change that.  (With
-        ``exactly_once_writes`` — on by default — the handle instead
-        re-homes to a surviving replica; see tests/test_exactly_once.py.)"""
-        cluster, gfile = self._replicated(seed=53, exactly_once_writes=False)
+        """Under the paper's unsupervised protocol an SS crash under an
+        open-for-write marks the descriptor in error and aborts the
+        shadow (the failure-action table of section 5.6).  (With
+        supervision on the handle instead re-homes to a surviving
+        replica; see tests/test_exactly_once.py.)"""
+        cluster, gfile = self._replicated(seed=53, supervise_remote_ops=False)
         fs0 = cluster.site(0).fs
         handle = cluster.call(0, fs0.open_gfile(gfile, Mode.WRITE))
         cluster.call(0, fs0.write(handle, 0, b"Z" * 2048))
@@ -227,61 +217,3 @@ class TestReopenElsewhere:
         assert handle.closed
         assert handle.attrs["error"] == "remaining copies are stale"
 
-
-class TestDeadlineFlush:
-    """Adaptive flush sizing (cost.write_flush_deadline): a partial
-    write-behind batch ships once the deadline passes instead of waiting
-    for a full batch or the commit."""
-
-    def _cluster(self, deadline=50.0):
-        cost = CostModel().with_overrides(
-            batch_writes=True, batch_pages=8,
-            write_flush_deadline=deadline)
-        cluster = LocusCluster(n_sites=2, seed=91, root_pack_sites=[1],
-                               cost=cost)
-        sh0 = cluster.shell(0)
-        sh0.write_file("/w", b"seed")
-        cluster.settle()
-        ino = sh0.stat("/w")["ino"]
-        return cluster, (ROOT_GFS, ino)
-
-    def test_partial_batch_ships_at_the_deadline(self):
-        cluster, gfile = self._cluster(deadline=50.0)
-        fs0 = cluster.site(0).fs
-        handle = cluster.call(0, fs0.open_gfile(gfile, Mode.WRITE))
-        cluster.call(0, fs0.write(handle, 0, b"A" * 1024))   # 1 of 8 pages
-        so = cluster.site(1).fs.ss[gfile]
-        assert handle.pending_writes and so.pages_received == 0
-        assert handle.flush_timer is not None
-        cluster.sim.run(until=cluster.sim.now + 200.0)
-        assert not handle.pending_writes
-        assert so.pages_received == 1       # shipped without close/commit
-        cluster.call(0, fs0.commit(handle))
-        cluster.call(0, fs0.close(handle))
-        cluster.settle()
-        assert cluster.shell(0).read_file("/w")[:8] == b"AAAAAAAA"
-
-    def test_commit_before_deadline_cancels_the_timer(self):
-        cluster, gfile = self._cluster(deadline=5_000.0)
-        fs0 = cluster.site(0).fs
-        handle = cluster.call(0, fs0.open_gfile(gfile, Mode.WRITE))
-        cluster.call(0, fs0.write(handle, 0, b"B" * 1024))
-        assert handle.flush_timer is not None
-        cluster.call(0, fs0.commit(handle))
-        assert handle.flush_timer is None
-        cluster.call(0, fs0.close(handle))
-        cluster.sim.run(until=cluster.sim.now + 10_000.0)
-        cluster.settle()                    # a late timer would misfire here
-        assert cluster.shell(0).read_file("/w")[:8] == b"BBBBBBBB"
-
-    def test_deadline_zero_keeps_batches_whole(self):
-        cluster, gfile = self._cluster(deadline=0.0)
-        fs0 = cluster.site(0).fs
-        handle = cluster.call(0, fs0.open_gfile(gfile, Mode.WRITE))
-        cluster.call(0, fs0.write(handle, 0, b"C" * 1024))
-        assert handle.flush_timer is None   # feature off: no timer armed
-        cluster.sim.run(until=cluster.sim.now + 1_000.0)
-        assert handle.pending_writes        # still staged at the US
-        cluster.call(0, fs0.close(handle))
-        cluster.settle()
-        assert cluster.shell(0).read_file("/w")[:8] == b"CCCCCCCC"
